@@ -1,7 +1,7 @@
 GO ?= go
 STATICCHECK ?= staticcheck
 
-.PHONY: all build test race vet fmt fmt-check staticcheck lint lint-deprecated bench bench-json bench-gate coverage examples ci
+.PHONY: all build test race vet fmt fmt-check staticcheck lint perfbench-check bench bench-json bench-gate coverage examples ci
 
 all: build test
 
@@ -36,14 +36,14 @@ staticcheck:
 		echo "staticcheck not installed; skipping (go install honnef.co/go/tools/cmd/staticcheck@latest)"; \
 	fi
 
-# Grep gate against re-introducing deprecated API surface (PowerCut*/
-# Recover* wrappers, fs.New/Config, kv.Config) outside the wrapper
-# definitions themselves.
-lint-deprecated:
-	sh scripts/lint_deprecated.sh
+# The lint gate CI runs: formatting, vet, staticcheck.
+lint: fmt-check vet staticcheck
 
-# The lint gate CI runs: formatting, vet, staticcheck, deprecated-API grep.
-lint: fmt-check vet staticcheck lint-deprecated
+# Vet and test the benchmark module (perfbench/, its own go.mod that
+# imports this one), so an API cut that breaks the benchmark build fails
+# here rather than in the benchmark run.
+perfbench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # Quick smoke of every experiment (same command CI runs).
 bench: build
@@ -71,4 +71,4 @@ coverage: build
 	$(GO) test -coverprofile=coverage.out -coverpkg=./internal/order/...,./internal/stack/... ./internal/order/... ./internal/stack/...
 	$(GO) tool cover -func=coverage.out | tail -1
 
-ci: lint build race bench bench-gate examples
+ci: lint build race perfbench-check bench bench-gate examples

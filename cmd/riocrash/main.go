@@ -121,6 +121,7 @@ func main() {
 	// audit (no dangling open span across any power-cut schedule).
 	cfg.Trace = trace.Config{SampleEvery: 1}
 	c := stack.New(eng, cfg)
+	in := c.Init(0)
 
 	type sub struct {
 		attr core.Attr
@@ -133,7 +134,7 @@ func main() {
 		eng.Go(fmt.Sprintf("app%d", s), func(p *sim.Proc) {
 			for g := 0; g < *groups; g++ {
 				lba := uint64(s*1_000_000 + g)
-				r := c.OrderedWrite(p, s, lba, 1, 0, nil, true, false, false)
+				r := in.OrderedWrite(p, s, lba, 1, 0, nil, true, false, false)
 				if r.Ticket == nil {
 					break // the power cut landed mid-submission: died un-staged
 				}
@@ -151,7 +152,7 @@ func main() {
 	}
 	eng.RunUntil(cut + sim.Millisecond)
 
-	fmt.Printf("power cut at %v with %d requests submitted\n", cut, c.Stats().Submitted)
+	fmt.Printf("power cut at %v with %d requests submitted\n", cut, in.Stats().Submitted)
 
 	var report *core.Report
 	var tm stack.RecoveryTiming
@@ -231,6 +232,7 @@ func replicaCrash(streams, groups int, cutUS, seed int64, replicas int, relay bo
 	cfg.MergeEnabled = false                 // 1:1 request→attribute, so media is checkable
 	cfg.Trace = trace.Config{SampleEvery: 1} // span-lifecycle audit rides along
 	c := stack.New(eng, cfg)
+	in := c.Init(0)
 
 	// Relay schedule: cut the set HEAD so the repair path (exact-prefix
 	// re-post + survivor ack flush) is what keeps completions flowing.
@@ -245,7 +247,7 @@ func replicaCrash(streams, groups int, cutUS, seed int64, replicas int, relay bo
 		eng.Go(fmt.Sprintf("app%d", s), func(p *sim.Proc) {
 			for g := 0; g < groups; g++ {
 				lba := uint64(s*1_000_000 + g)
-				r := c.OrderedWrite(p, s, lba, 1, 0, nil, true, false, false)
+				r := in.OrderedWrite(p, s, lba, 1, 0, nil, true, false, false)
 				if r.Ticket == nil {
 					break // initiator power-cut mid-submission (member cuts never trigger this)
 				}
@@ -260,7 +262,7 @@ func replicaCrash(streams, groups int, cutUS, seed int64, replicas int, relay bo
 	eng.Run()
 
 	fmt.Printf("replica member %d of %d power-cut at %v with %d requests submitted (write quorum %d)\n",
-		victim, replicas, cut, c.Stats().Submitted, c.WriteQuorum())
+		victim, replicas, cut, in.Stats().Submitted, c.WriteQuorum())
 
 	// The no-stall contract only holds when the quorum tolerates losing a
 	// member (majority on R>=3). With WriteQuorum == R (and majority on
@@ -303,7 +305,7 @@ func replicaCrash(streams, groups int, cutUS, seed int64, replicas int, relay bo
 		fail("%d of %d writes still undelivered after resync\n", stalled, len(reqs))
 	}
 	for s := 0; s < streams; s++ {
-		if got := c.Sequencer().Stream(s).FullyDone(); got != uint64(groups) {
+		if got := in.Sequencer().Stream(s).FullyDone(); got != uint64(groups) {
 			fail("stream %d group order stopped at %d of %d\n", s, got, groups)
 		}
 	}

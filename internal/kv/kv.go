@@ -36,11 +36,6 @@ type Options struct {
 	BloomCPU       sim.Time // filter probe/update cost per op (0 = 200 ns)
 }
 
-// Config is the legacy name of Options.
-//
-// Deprecated: use Options with kv.Open.
-type Config = Options
-
 // withDefaults fills zero fields with the DefaultOptions values.
 func (o Options) withDefaults() Options {
 	if o.MemtableBytes == 0 {
@@ -73,13 +68,6 @@ func (o Options) withDefaults() Options {
 // DefaultOptions mirrors db_bench fillsync: 16-byte keys, 1024-byte values.
 func DefaultOptions() Options {
 	return Options{}.withDefaults()
-}
-
-// DefaultConfig is the legacy name of DefaultOptions.
-//
-// Deprecated: use DefaultOptions.
-func DefaultConfig() Config {
-	return DefaultOptions()
 }
 
 // Stats counts store activity.

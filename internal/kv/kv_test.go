@@ -150,7 +150,7 @@ func TestWALSurvivesCrash(t *testing.T) {
 		fcfg.JournalBlocks = 512
 		fcfg.MaxInodes = 1 << 10
 		fcfg.DataBlocks = 1 << 16
-		fs2, _ := fs.Recover(p, c, fcfg)
+		fs2, _ := fs.Remount(p, c.Init(0), fcfg)
 		n, err := RecoverCount(p, fs2, cfg)
 		if err != nil {
 			t.Errorf("WAL lost: %v", err)

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"reflect"
 	"sort"
 
 	"repro/internal/sim"
@@ -155,9 +156,35 @@ func (c *Counter) Add(n, b int64) {
 // Snapshot returns a copy for window arithmetic.
 func (c *Counter) Snapshot() Counter { return *c }
 
-// Sub returns the delta c - old.
-func (c Counter) Sub(old Counter) Counter {
-	return Counter{Ops: c.Ops - old.Ops, Bytes: c.Bytes - old.Bytes}
+// Sub returns the field-wise delta a - b of a counter struct (for
+// measurement windows). A counter struct holds only int64-kinded fields
+// (int64, sim.Time) and nested counter structs; any other field kind
+// panics, so a float or slice added later fails loudly instead of
+// silently reading 0. Reflection keeps every counter type to one
+// definition; it runs only at window boundaries and in fleet
+// aggregation, never per event.
+func Sub[T any](a, b T) T { return combine(a, b, -1) }
+
+// Add returns the field-wise sum a + b of a counter struct (for
+// aggregation across initiators or targets); see Sub.
+func Add[T any](a, b T) T { return combine(a, b, 1) }
+
+func combine[T any](a, b T, sign int64) T {
+	combineValue(reflect.ValueOf(&a).Elem(), reflect.ValueOf(b), sign)
+	return a
+}
+
+func combineValue(dst, src reflect.Value, sign int64) {
+	switch dst.Kind() {
+	case reflect.Int64:
+		dst.SetInt(dst.Int() + sign*src.Int())
+	case reflect.Struct:
+		for i := 0; i < dst.NumField(); i++ {
+			combineValue(dst.Field(i), src.Field(i), sign)
+		}
+	default:
+		panic(fmt.Sprintf("metrics: counter field of type %s is not int64-kinded", dst.Type()))
+	}
 }
 
 // Window is a measurement interval with derived rates.
@@ -213,16 +240,6 @@ func (p PoolStats) HitRate() float64 {
 	return 0
 }
 
-// Sub returns the delta p - old.
-func (p PoolStats) Sub(old PoolStats) PoolStats {
-	return PoolStats{Hits: p.Hits - old.Hits, Misses: p.Misses - old.Misses}
-}
-
-// Add returns the sum p + o (aggregation across initiators).
-func (p PoolStats) Add(o PoolStats) PoolStats {
-	return PoolStats{Hits: p.Hits + o.Hits, Misses: p.Misses + o.Misses}
-}
-
 // BatchStats tracks doorbell batching: Rings counts doorbell rings
 // (capsules sent), Items the commands they carried.
 type BatchStats struct {
@@ -242,16 +259,6 @@ func (b BatchStats) Occupancy() float64 {
 		return float64(b.Items) / float64(b.Rings)
 	}
 	return 0
-}
-
-// Sub returns the delta b - old.
-func (b BatchStats) Sub(old BatchStats) BatchStats {
-	return BatchStats{Rings: b.Rings - old.Rings, Items: b.Items - old.Items}
-}
-
-// Add returns the sum b + o (aggregation across initiators).
-func (b BatchStats) Add(o BatchStats) BatchStats {
-	return BatchStats{Rings: b.Rings + o.Rings, Items: b.Items + o.Items}
 }
 
 // perOp is the shared per-operation ratio: 0 when no operations ran.

@@ -108,7 +108,7 @@ func TestCounterWindow(t *testing.T) {
 	c.Add(10, 4096*10)
 	snap := c.Snapshot()
 	c.Add(90, 4096*90)
-	d := c.Sub(snap)
+	d := Sub(c, snap)
 	if d.Ops != 90 || d.Bytes != 4096*90 {
 		t.Fatalf("delta = %+v", d)
 	}

@@ -23,10 +23,11 @@ type procKilled struct{}
 // The returned Proc is mainly useful for diagnostics; fn receives it as its
 // execution context.
 func (e *Engine) Go(name string, fn func(p *Proc)) *Proc {
-	p := &Proc{eng: e, name: name, resume: make(chan struct{})}
+	// A new proc starts parked on its first scheduling, so Shutdown
+	// unwinds it even if the engine never ran it.
+	p := &Proc{eng: e, name: name, resume: make(chan struct{}), parkedNow: true}
 	e.live[p] = struct{}{}
 	go func() {
-		<-p.resume // wait for first scheduling
 		defer func() {
 			delete(e.live, p)
 			if r := recover(); r != nil {
@@ -37,6 +38,7 @@ func (e *Engine) Go(name string, fn func(p *Proc)) *Proc {
 			}
 			e.parked <- struct{}{} // final yield
 		}()
+		p.awaitResume()
 		fn(p)
 	}()
 	e.At(0, func() { e.resumeNow(p) })
@@ -57,6 +59,12 @@ func (p *Proc) Now() Time { return p.eng.now }
 func (p *Proc) park() {
 	p.parkedNow = true
 	p.eng.parked <- struct{}{}
+	p.awaitResume()
+}
+
+// awaitResume blocks until the engine resumes this process, unwinding it
+// if the resume came from Shutdown.
+func (p *Proc) awaitResume() {
 	<-p.resume
 	p.parkedNow = false
 	if p.killed {

@@ -1,8 +1,10 @@
 package sim
 
 import (
+	"runtime"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func TestTimeString(t *testing.T) {
@@ -146,6 +148,29 @@ func TestShutdownReleasesParkedProcs(t *testing.T) {
 	}
 	if len(e.live) != 0 {
 		t.Fatalf("live procs after Shutdown: %d", len(e.live))
+	}
+}
+
+// TestShutdownReleasesNeverStartedProcs: a proc spawned by Go but never
+// resumed (the engine never ran) must still have its goroutine unwound.
+func TestShutdownReleasesNeverStartedProcs(t *testing.T) {
+	before := runtime.NumGoroutine()
+	e := New(1)
+	ran := 0
+	for i := 0; i < 10; i++ {
+		e.Go("idle", func(p *Proc) { ran++ })
+	}
+	e.Shutdown()
+	if ran != 0 {
+		t.Fatalf("%d never-scheduled procs ran their body", ran)
+	}
+	// A goroutine exits just after its final yield, so allow it a moment.
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > before {
+		t.Fatalf("%d goroutines leaked by Shutdown", n-before)
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 	"repro/internal/nvmeof"
 	"repro/internal/order"
 	"repro/internal/sim"
-	"repro/internal/ssd"
 	"repro/internal/trace"
 )
 
@@ -231,48 +230,7 @@ func (s ClusterStats) CompletionMsgsPerOp() float64 {
 }
 
 // Sub returns the counter deltas s - old (for measurement windows).
-func (s ClusterStats) Sub(old ClusterStats) ClusterStats {
-	return ClusterStats{
-		Submitted:    s.Submitted - old.Submitted,
-		Completed:    s.Completed - old.Completed,
-		WireCmds:     s.WireCmds - old.WireCmds,
-		WireMessages: s.WireMessages - old.WireMessages,
-		FusedCmds:    s.FusedCmds - old.FusedCmds,
-		Holdbacks:    s.Holdbacks - old.Holdbacks,
-		ReadCmds:     s.ReadCmds - old.ReadCmds,
-		ReadMsgs:     s.ReadMsgs - old.ReadMsgs,
-		TxMsgs:       s.TxMsgs - old.TxMsgs,
-		TxBytes:      s.TxBytes - old.TxBytes,
-		Pool:         s.Pool.Sub(old.Pool),
-		Batch:        s.Batch.Sub(old.Batch),
-		CplBatch:     s.CplBatch.Sub(old.CplBatch),
-		ReapCPU:      s.ReapCPU - old.ReapCPU,
-		SubmitStalls: s.SubmitStalls - old.SubmitStalls,
-		GovSwitches:  s.GovSwitches - old.GovSwitches,
-	}
-}
-
-// Add returns the counter sums s + o (for cluster-wide aggregation).
-func (s ClusterStats) Add(o ClusterStats) ClusterStats {
-	return ClusterStats{
-		Submitted:    s.Submitted + o.Submitted,
-		Completed:    s.Completed + o.Completed,
-		WireCmds:     s.WireCmds + o.WireCmds,
-		WireMessages: s.WireMessages + o.WireMessages,
-		FusedCmds:    s.FusedCmds + o.FusedCmds,
-		Holdbacks:    s.Holdbacks + o.Holdbacks,
-		ReadCmds:     s.ReadCmds + o.ReadCmds,
-		ReadMsgs:     s.ReadMsgs + o.ReadMsgs,
-		TxMsgs:       s.TxMsgs + o.TxMsgs,
-		TxBytes:      s.TxBytes + o.TxBytes,
-		Pool:         s.Pool.Add(o.Pool),
-		Batch:        s.Batch.Add(o.Batch),
-		CplBatch:     s.CplBatch.Add(o.CplBatch),
-		ReapCPU:      s.ReapCPU + o.ReapCPU,
-		SubmitStalls: s.SubmitStalls + o.SubmitStalls,
-		GovSwitches:  s.GovSwitches + o.GovSwitches,
-	}
-}
+func (s ClusterStats) Sub(old ClusterStats) ClusterStats { return metrics.Sub(s, old) }
 
 // Cluster is a deployment: one or more initiator servers sharing a fleet
 // of target servers over the fabric. Each initiator is an independent
@@ -426,15 +384,11 @@ func (c *Cluster) InitiatorUtil() metrics.UtilSnapshot {
 	return s
 }
 
-// Stats returns initiator 0's counters (the single-initiator surface;
-// use StatsAll or Init(i).Stats for multi-initiator clusters).
-func (c *Cluster) Stats() ClusterStats { return c.inits[0].stats }
-
 // StatsAll returns the sum of every initiator's counters.
 func (c *Cluster) StatsAll() ClusterStats {
 	var s ClusterStats
 	for _, in := range c.inits {
-		s = s.Add(in.stats)
+		s = metrics.Add(s, in.stats)
 	}
 	return s
 }
@@ -444,7 +398,7 @@ func (c *Cluster) StatsAll() ClusterStats {
 func (c *Cluster) TargetStatsAll() TargetStats {
 	var s TargetStats
 	for _, t := range c.targets {
-		s = s.Add(t.stats)
+		s = metrics.Add(s, t.stats)
 	}
 	return s
 }
@@ -460,58 +414,12 @@ func (c *Cluster) OrderAudit() int {
 	return bad
 }
 
-// Sequencer exposes initiator 0's Rio sequencer (tests, recovery).
-func (c *Cluster) Sequencer() *core.Sequencer { return c.inits[0].seq }
-
-// The single-initiator compatibility surface: every data-path entry
-// point forwards to initiator 0, so code written against the original
-// one-initiator cluster (file systems, workloads, tests) runs unchanged.
-
-// UseCPU charges application-level CPU work to initiator 0's cores.
-func (c *Cluster) UseCPU(p *sim.Proc, d sim.Time) { c.inits[0].UseCPU(p, d) }
-
-// Wait blocks until req's completion has been delivered (rio_wait).
-func (c *Cluster) Wait(p *sim.Proc, req *blockdev.Request) { c.inits[0].Wait(p, req) }
-
-// WaitSignal blocks on an arbitrary completion signal.
-func (c *Cluster) WaitSignal(p *sim.Proc, sig *sim.Signal) { c.inits[0].WaitSignal(p, sig) }
-
-// OrderedWrite submits one ordered write request on initiator 0.
-func (c *Cluster) OrderedWrite(p *sim.Proc, stream int, lba uint64, blocks uint32,
-	stamp uint64, data [][]byte, boundary, flush, ipu bool) *blockdev.Request {
-	return c.inits[0].OrderedWrite(p, stream, lba, blocks, stamp, data, boundary, flush, ipu)
-}
-
-// OrderlessWrite submits a plain write on initiator 0.
-func (c *Cluster) OrderlessWrite(p *sim.Proc, stream int, lba uint64, blocks uint32,
-	stamp uint64, data [][]byte) *blockdev.Request {
-	return c.inits[0].OrderlessWrite(p, stream, lba, blocks, stamp, data)
-}
-
-// Read performs a synchronous read through initiator 0.
-func (c *Cluster) Read(p *sim.Proc, lba uint64, blocks uint32) []ssd.Rec {
-	return c.inits[0].Read(p, lba, blocks)
-}
-
-// ReadCacheStats returns initiator i's read-cache counters (zero when
-// the cache is off).
-func (c *Cluster) ReadCacheStats(i int) RCacheStats { return c.inits[i].ReadCacheStats() }
-
 // ReadCacheStatsAll returns the sum of every initiator's read-cache
 // counters.
 func (c *Cluster) ReadCacheStatsAll() RCacheStats {
 	var s RCacheStats
 	for _, in := range c.inits {
-		s = s.Add(in.ReadCacheStats())
+		s = metrics.Add(s, in.ReadCacheStats())
 	}
 	return s
 }
-
-// FlushDevice issues a standalone FLUSH from initiator 0.
-func (c *Cluster) FlushDevice(p *sim.Proc, stream int) { c.inits[0].FlushDevice(p, stream) }
-
-// StartPlug opens an explicit plug window on initiator 0's stream.
-func (c *Cluster) StartPlug(stream int) { c.inits[0].StartPlug(stream) }
-
-// FinishPlug closes initiator 0's plug window.
-func (c *Cluster) FinishPlug(p *sim.Proc, stream int) { c.inits[0].FinishPlug(p, stream) }

@@ -672,9 +672,7 @@ func (in *Initiator) postByTarget(p *sim.Proc, wires []*wireState, stream int) {
 			continue
 		}
 		if in.cfg.Mode == ModeRio {
-			if mark := in.retireMarkAt(stream, ti); mark > 0 {
-				cp.retires = append(cp.retires, retire{stream: uint16(stream), upTo: mark})
-			}
+			cp.retires = in.appendRetires(cp.retires, ti)
 		}
 		qp := in.qpFor(stream)
 		for i, ws := range cp.cmds {

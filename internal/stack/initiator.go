@@ -40,8 +40,10 @@ type Initiator struct {
 	// retireMark is the dense {stream, target} watermark table (index
 	// stream*len(targets)+target): streams and targets are fixed at
 	// construction, so the delivery hot path indexes a slice instead of
-	// hashing a two-int map key per request.
+	// hashing a two-int map key per request. retireSent, indexed the
+	// same way, is the mark that last rode a capsule toward the target.
 	retireMark []uint64
+	retireSent []uint64
 	epoch      int
 	alive      bool
 
@@ -98,6 +100,7 @@ func newInitiator(c *Cluster, id int) *Initiator {
 		outstanding: make(map[uint64]*wireState),
 		linuxMu:     sim.NewResource(c.Eng, 1),
 		retireMark:  make([]uint64, c.cfg.Streams*len(c.targets)),
+		retireSent:  make([]uint64, c.cfg.Streams*len(c.targets)),
 		alive:       true,
 	}
 	in.inflightCond = sim.NewCond(c.Eng)
@@ -153,9 +156,20 @@ func (in *Initiator) Util() metrics.UtilSnapshot {
 	return metrics.SnapUtil(in.cores, in.Eng.Now())
 }
 
-// retireMarkAt returns the {stream, target} retire watermark.
-func (in *Initiator) retireMarkAt(stream, target int) uint64 {
-	return in.retireMark[stream*len(in.targets)+target]
+// appendRetires appends to dst every stream's retire watermark toward
+// target that advanced since it last rode a capsule there. Marks of all
+// streams ride along, not only the capsule's own: an idle stream's last
+// entries would otherwise never retire and would pin the head of the
+// target's circular PMR log.
+func (in *Initiator) appendRetires(dst []retire, target int) []retire {
+	for s := 0; s < in.cfg.Streams; s++ {
+		k := s*len(in.targets) + target
+		if mark := in.retireMark[k]; mark > in.retireSent[k] {
+			dst = append(dst, retire{stream: uint16(s), upTo: mark})
+			in.retireSent[k] = mark
+		}
+	}
+	return dst
 }
 
 // bumpRetireMark advances the {stream, target} watermark to idx if it is
@@ -170,7 +184,8 @@ func (in *Initiator) bumpRetireMark(stream, target int, idx uint64) {
 // clearRetireMark restarts the {stream, target} watermark after the
 // target's chain was reset (replay and resync recoveries).
 func (in *Initiator) clearRetireMark(stream, target int) {
-	in.retireMark[stream*len(in.targets)+target] = 0
+	k := stream*len(in.targets) + target
+	in.retireMark[k], in.retireSent[k] = 0, 0
 }
 
 // retireMarksSet counts watermarks that have advanced (tests).
@@ -464,6 +479,7 @@ func (in *Initiator) crashVolatile() {
 	in.seq = core.NewSequencerFor(uint16(in.id), in.cfg.Streams)
 	in.outstanding = make(map[uint64]*wireState)
 	in.retireMark = make([]uint64, in.cfg.Streams*len(in.targets))
+	in.retireSent = make([]uint64, in.cfg.Streams*len(in.targets))
 	for k := range in.relaySeq {
 		in.relaySeq[k] = 0
 	}

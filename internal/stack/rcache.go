@@ -4,6 +4,7 @@ import (
 	"sort"
 
 	"repro/internal/core"
+	"repro/internal/metrics"
 	"repro/internal/sim"
 	"repro/internal/ssd"
 )
@@ -58,32 +59,7 @@ func (s RCacheStats) HitRate() float64 {
 }
 
 // Sub returns the counter deltas s - old (for measurement windows).
-func (s RCacheStats) Sub(old RCacheStats) RCacheStats {
-	return RCacheStats{
-		Hits:            s.Hits - old.Hits,
-		Misses:          s.Misses - old.Misses,
-		Inserts:         s.Inserts - old.Inserts,
-		Evictions:       s.Evictions - old.Evictions,
-		Invalidations:   s.Invalidations - old.Invalidations,
-		ReadAheadIssued: s.ReadAheadIssued - old.ReadAheadIssued,
-		ReadAheadHits:   s.ReadAheadHits - old.ReadAheadHits,
-		ReadAheadWasted: s.ReadAheadWasted - old.ReadAheadWasted,
-	}
-}
-
-// Add returns the counter sums s + o (for cluster-wide aggregation).
-func (s RCacheStats) Add(o RCacheStats) RCacheStats {
-	return RCacheStats{
-		Hits:            s.Hits + o.Hits,
-		Misses:          s.Misses + o.Misses,
-		Inserts:         s.Inserts + o.Inserts,
-		Evictions:       s.Evictions + o.Evictions,
-		Invalidations:   s.Invalidations + o.Invalidations,
-		ReadAheadIssued: s.ReadAheadIssued + o.ReadAheadIssued,
-		ReadAheadHits:   s.ReadAheadHits + o.ReadAheadHits,
-		ReadAheadWasted: s.ReadAheadWasted + o.ReadAheadWasted,
-	}
-}
+func (s RCacheStats) Sub(old RCacheStats) RCacheStats { return metrics.Sub(s, old) }
 
 // rcEntry is one cached block.
 type rcEntry struct {

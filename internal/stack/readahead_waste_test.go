@@ -22,9 +22,9 @@ func TestRandomReadsIssueNoPrefetch(t *testing.T) {
 	const reads = 500
 	eng.Go("app", func(p *sim.Proc) {
 		for i := uint64(0); i < space; i++ {
-			r := c.OrderedWrite(p, 0, i, 1, i+1, nil, true, i == space-1, false)
+			r := c.Init(0).OrderedWrite(p, 0, i, 1, i+1, nil, true, i == space-1, false)
 			if i == space-1 {
-				c.Wait(p, r)
+				c.Init(0).Wait(p, r)
 			}
 		}
 		rng := eng.Rand()

@@ -228,17 +228,10 @@ func (in *Initiator) postRelay(p *sim.Proc, rs *replicaSet, cmds []*wireState, s
 	}
 	if in.cfg.Mode == ModeRio {
 		for _, m := range rs.members {
-			if mark := in.retireMarkAt(stream, m); mark > 0 {
-				r := []retire{{stream: uint16(stream), upTo: mark}}
-				if m == head {
-					cp.retires = append(cp.retires, r...)
-				} else {
-					cp.relayRetires = append(cp.relayRetires, r)
-					continue
-				}
-			}
-			if m != head {
-				cp.relayRetires = append(cp.relayRetires, nil)
+			if m == head {
+				cp.retires = in.appendRetires(cp.retires, m)
+			} else {
+				cp.relayRetires = append(cp.relayRetires, in.appendRetires(nil, m))
 			}
 		}
 	} else {

@@ -399,9 +399,7 @@ func (in *Initiator) postReplicated(p *sim.Proc, wires []*wireState, stream int)
 				ws.qp = qp
 			}
 			if in.cfg.Mode == ModeRio {
-				if mark := in.retireMarkAt(stream, m); mark > 0 {
-					cp.retires = append(cp.retires, retire{stream: uint16(stream), upTo: mark})
-				}
+				cp.retires = in.appendRetires(cp.retires, m)
 			}
 			size := nvmeof.VectorCapsuleSize(len(cmds), inline)
 			in.useInitCPU(p, in.costs.PostMsg)

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/fabric"
+	"repro/internal/metrics"
 	"repro/internal/nvmeof"
 	"repro/internal/order"
 	"repro/internal/sim"
@@ -58,56 +59,7 @@ func (s TargetStats) AllocsPerCmd() float64 {
 }
 
 // Sub returns the counter deltas s - old (for measurement windows).
-func (s TargetStats) Sub(old TargetStats) TargetStats {
-	return TargetStats{
-		Capsules:   s.Capsules - old.Capsules,
-		Commands:   s.Commands - old.Commands,
-		CtrlOps:    s.CtrlOps - old.CtrlOps,
-		Holdbacks:  s.Holdbacks - old.Holdbacks,
-		PMRAppends: s.PMRAppends - old.PMRAppends,
-		PMRToggles: s.PMRToggles - old.PMRToggles,
-		Responses:  s.Responses - old.Responses,
-		CQEs:       s.CQEs - old.CQEs,
-		Flushes:    s.Flushes - old.Flushes,
-		Vectors:    s.Vectors - old.Vectors,
-		Allocs:     s.Allocs - old.Allocs,
-		Reads:      s.Reads - old.Reads,
-
-		CQETimerFlushes: s.CQETimerFlushes - old.CQETimerFlushes,
-		CQERearms:       s.CQERearms - old.CQERearms,
-		GovSwitches:     s.GovSwitches - old.GovSwitches,
-
-		Relays:    s.Relays - old.Relays,
-		RelayAcks: s.RelayAcks - old.RelayAcks,
-		AggFires:  s.AggFires - old.AggFires,
-	}
-}
-
-// Add returns the counter sums s + o (for fleet-wide aggregation).
-func (s TargetStats) Add(o TargetStats) TargetStats {
-	return TargetStats{
-		Capsules:   s.Capsules + o.Capsules,
-		Commands:   s.Commands + o.Commands,
-		CtrlOps:    s.CtrlOps + o.CtrlOps,
-		Holdbacks:  s.Holdbacks + o.Holdbacks,
-		PMRAppends: s.PMRAppends + o.PMRAppends,
-		PMRToggles: s.PMRToggles + o.PMRToggles,
-		Responses:  s.Responses + o.Responses,
-		CQEs:       s.CQEs + o.CQEs,
-		Flushes:    s.Flushes + o.Flushes,
-		Vectors:    s.Vectors + o.Vectors,
-		Allocs:     s.Allocs + o.Allocs,
-		Reads:      s.Reads + o.Reads,
-
-		CQETimerFlushes: s.CQETimerFlushes + o.CQETimerFlushes,
-		CQERearms:       s.CQERearms + o.CQERearms,
-		GovSwitches:     s.GovSwitches + o.GovSwitches,
-
-		Relays:    s.Relays + o.Relays,
-		RelayAcks: s.RelayAcks + o.RelayAcks,
-		AggFires:  s.AggFires + o.AggFires,
-	}
-}
+func (s TargetStats) Sub(old TargetStats) TargetStats { return metrics.Sub(s, old) }
 
 // tDone is one SSD completion routed to the target's completion context.
 // Instances recycle through the target's free list (doneLoop owns the
@@ -540,10 +492,12 @@ func (t *Target) rxLoop(p *sim.Proc, init, qp int) {
 				markWire(ws, trace.MRxDeliver, cp.deliveredAt)
 				t.relayNote(ws, cp.epoch, qp)
 			} else {
+				// Direct capsules and relay heads stamp MRelayed at
+				// delivery, so the fabric transit lands in wire and the
+				// relay stage is zero-width unless a follower's relayed
+				// copy stamps the head's forward later (record-max).
 				markWire(ws, trace.MSent, cp.sentAt)
-				if cp.relayTo != nil {
-					markWire(ws, trace.MRelayed, cp.deliveredAt)
-				}
+				markWire(ws, trace.MRelayed, cp.deliveredAt)
 				markWire(ws, trace.MRxDeliver, cp.deliveredAt)
 			}
 			if ws.flushWire {

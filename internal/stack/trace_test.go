@@ -23,8 +23,8 @@ func TestTraceSpanCompleteness(t *testing.T) {
 	const groups = 50
 	eng.Go("app", func(p *sim.Proc) {
 		for g := 0; g < groups; g++ {
-			r := c.OrderedWrite(p, g%4, uint64(g*3), 1, 0, nil, true, false, false)
-			c.Wait(p, r)
+			r := c.Init(0).OrderedWrite(p, g%4, uint64(g*3), 1, 0, nil, true, false, false)
+			c.Init(0).Wait(p, r)
 		}
 	})
 	eng.Run()
@@ -71,15 +71,15 @@ func TestTraceSamplingDeterminism(t *testing.T) {
 		c := New(eng, cfg)
 		eng.Go("app", func(p *sim.Proc) {
 			for g := 0; g < 80; g++ {
-				r := c.OrderedWrite(p, g%4, uint64(g), 1, 0, nil, g%3 == 0, g%9 == 0, false)
+				r := c.Init(0).OrderedWrite(p, g%4, uint64(g), 1, 0, nil, g%3 == 0, g%9 == 0, false)
 				if g%2 == 0 {
-					c.Wait(p, r)
+					c.Init(0).Wait(p, r)
 				}
 			}
 		})
 		eng.Run()
 		now := eng.Now()
-		done := c.Stats().Completed
+		done := c.Init(0).Stats().Completed
 		eng.Shutdown()
 		return now, done
 	}
@@ -101,7 +101,7 @@ func TestTraceCrashDropsOpenSpans(t *testing.T) {
 	c := New(eng, traceConfig(optane1()...))
 	eng.Go("app", func(p *sim.Proc) {
 		for g := 0; g < 200 && c.Init(0).Alive(); g++ {
-			c.OrderedWrite(p, g%4, uint64(g), 1, 0, nil, true, false, false)
+			c.Init(0).OrderedWrite(p, g%4, uint64(g), 1, 0, nil, true, false, false)
 			p.Sleep(2 * sim.Microsecond)
 		}
 	})
@@ -142,8 +142,8 @@ func TestTraceReplicatedTargetCut(t *testing.T) {
 	const groups = 60
 	eng.Go("app", func(p *sim.Proc) {
 		for g := 0; g < groups; g++ {
-			r := c.OrderedWrite(p, g%4, uint64(g*5), 1, 0, nil, true, false, false)
-			c.Wait(p, r)
+			r := c.Init(0).OrderedWrite(p, g%4, uint64(g*5), 1, 0, nil, true, false, false)
+			c.Init(0).Wait(p, r)
 		}
 	})
 	eng.At(40*sim.Microsecond, func() { c.PowerCutTarget(1) })
@@ -160,5 +160,50 @@ func TestTraceReplicatedTargetCut(t *testing.T) {
 	if st.Finished+st.Dropped != st.Sampled {
 		t.Fatalf("books don't balance: finished %d + dropped %d != sampled %d",
 			st.Finished, st.Dropped, st.Sampled)
+	}
+}
+
+// stageIndex returns the index of the named budget stage.
+func stageIndex(t *testing.T, name string) int {
+	t.Helper()
+	for i := 0; i < trace.NumStages; i++ {
+		if trace.StageName(i) == name {
+			return i
+		}
+	}
+	t.Fatalf("no stage %q", name)
+	return -1
+}
+
+// TestTraceWireRelayAttribution: on the direct path the submission
+// capsule's fabric transit lands in wire and relay is zero-width; under
+// ReplRelay the head-to-follower hop shows up in relay.
+func TestTraceWireRelayAttribution(t *testing.T) {
+	wire, relay := stageIndex(t, "wire"), stageIndex(t, "relay")
+	run := func(cfg Config) []trace.SpanRecord {
+		cfg.Trace = trace.Config{SampleEvery: 1, Keep: 4096}
+		eng := sim.New(3)
+		c := New(eng, cfg)
+		eng.Go("app", func(p *sim.Proc) {
+			in := c.Init(0)
+			for g := 0; g < 40; g++ {
+				in.Wait(p, in.OrderedWrite(p, g%4, uint64(g*3), 1, 0, nil, true, false, false))
+			}
+		})
+		eng.Run()
+		return c.Tracer().Retained()
+	}
+	for _, r := range run(traceConfig(optane1()...)) {
+		if r.StageDur(wire) <= 0 || r.StageDur(relay) != 0 {
+			t.Fatalf("direct span %d: wire %d relay %d, want wire > 0 and relay 0",
+				r.ID, r.StageDur(wire), r.StageDur(relay))
+		}
+	}
+	var relayed sim.Time
+	for _, r := range run(relayConfig(3)) {
+		relayed += r.StageDur(relay)
+	}
+	if relayed <= 0 {
+		t.Fatal("relay run: relay stage is zero-width, want the head-to-follower hop")
 	}
 }

@@ -101,7 +101,7 @@ func TestSeqGuard(t *testing.T) {
 
 	s2 := tr.Start(sl, 0, 0, 7, 1, 1000) // recycles the same slab object
 	if s2 != s {
-		t.Skip("slab did not recycle in place")
+		t.Fatal("slab did not recycle the finished span in place")
 	}
 	s.Mark(oldSeq, MSent, 9999) // stale pointer from the previous life
 	s.AddWait(oldSeq, WaitTx, 50)

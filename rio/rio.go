@@ -15,7 +15,7 @@
 //	})
 //	c.Run()
 //
-// Crash behavior is first-class: PowerCut drops volatile state everywhere,
+// Crash behavior is first-class: Fault drops volatile state inside a scope,
 // Recover runs the paper's §4.4 algorithm, and the Report's durable prefix
 // tells you exactly which groups survived.
 package rio
@@ -380,7 +380,7 @@ func cacheStatsFrom(rs stack.RCacheStats) CacheStats {
 
 // CacheStats returns the block-cache counters of one initiator.
 func (c *Cluster) CacheStats(init int) CacheStats {
-	return cacheStatsFrom(c.inner.ReadCacheStats(init))
+	return cacheStatsFrom(c.inner.Init(init).ReadCacheStats())
 }
 
 // CacheStatsAll sums the block-cache counters across every initiator.
@@ -469,8 +469,7 @@ func (c *Cluster) OrderAudit() int { return c.inner.OrderAudit() }
 // Scope names the blast radius of a fault or recovery: the whole
 // cluster, one target server, or one initiator server. Build one with
 // ClusterScope, TargetScope or InitiatorScope and hand it to
-// Cluster.Fault / Ctx.Recover — the single crash surface that replaces
-// the per-shape PowerCut*/Recover* method family.
+// Cluster.Fault / Ctx.Recover, the single crash surface.
 type Scope struct {
 	kind scopeKind
 	idx  int
@@ -520,21 +519,6 @@ func (c *Cluster) Fault(s Scope) {
 	}
 }
 
-// PowerCut models a whole-cluster power failure.
-//
-// Deprecated: use Fault(ClusterScope()).
-func (c *Cluster) PowerCut() { c.Fault(ClusterScope()) }
-
-// PowerCutTarget crashes a single target server.
-//
-// Deprecated: use Fault(TargetScope(i)).
-func (c *Cluster) PowerCutTarget(i int) { c.Fault(TargetScope(i)) }
-
-// PowerCutInitiator crashes a single initiator server.
-//
-// Deprecated: use Fault(InitiatorScope(i)).
-func (c *Cluster) PowerCutInitiator(i int) { c.Fault(InitiatorScope(i)) }
-
 // Report is the recovery outcome: per-stream durable prefixes.
 type Report struct {
 	inner  *core.Report
@@ -554,8 +538,8 @@ func (r *Report) DurablePrefixFor(initiator, stream int) uint64 {
 
 // Recover runs the §4.4 recovery algorithm over each given scope, in
 // order, and returns the ordering report of the last one. No scope means
-// ClusterScope: full recovery after a whole-cluster PowerCut, so legacy
-// ctx.Recover() calls keep their meaning. Scope semantics:
+// ClusterScope: full recovery after Fault(ClusterScope()). Scope
+// semantics:
 //
 //   - ClusterScope: every initiator replays its PMR-durable requests and
 //     rolls the volume forward to the per-stream durable prefixes.
@@ -587,16 +571,6 @@ func (ctx *Ctx) Recover(scope ...Scope) *Report {
 	}
 	return out
 }
-
-// RecoverTarget repairs a single crashed target.
-//
-// Deprecated: use Recover(TargetScope(i)).
-func (ctx *Ctx) RecoverTarget(i int) *Report { return ctx.Recover(TargetScope(i)) }
-
-// RecoverInitiator recovers a single crashed initiator.
-//
-// Deprecated: use Recover(InitiatorScope(i)).
-func (ctx *Ctx) RecoverInitiator(i int) *Report { return ctx.Recover(InitiatorScope(i)) }
 
 // FSDesign selects a file-system journaling design (§4.7).
 type FSDesign = fs.Design
@@ -663,13 +637,4 @@ func (ctx *Ctx) KVReopen(fsys *fs.FS, opts KVOptions) (*kv.DB, error) {
 // record can follow a durable commit under ordered writes).
 func (ctx *Ctx) KVRecoverCount(fsys *fs.FS, opts KVOptions) (int, error) {
 	return kv.RecoverCount(ctx.p, fsys, opts)
-}
-
-// NewFS formats a file system on initiator 0. journals is the per-core
-// journal count (ignored for Ext4).
-//
-// Deprecated: use Ctx.FS, which binds the file system to the calling
-// context's initiator and takes full FSOptions.
-func (c *Cluster) NewFS(design FSDesign, journals int) *fs.FS {
-	return fs.Open(c.inner.Init(0), fs.DefaultOptions(design, journals))
 }
