@@ -1,7 +1,7 @@
 GO ?= go
 STATICCHECK ?= staticcheck
 
-.PHONY: all build test race vet fmt fmt-check staticcheck lint perfbench-check bench bench-json bench-gate coverage examples ci
+.PHONY: all build test race vet fmt fmt-check staticcheck lint perfbench-check bench bench-json bench-gate coverage examples crash-smoke loc ci
 
 all: build test
 
@@ -59,6 +59,19 @@ examples: build
 	@set -e; for d in examples/*/; do \
 		echo "== go run ./$$d"; $(GO) run ./$$d; done
 
+# Power-cut smoke (same command CI runs): riocrash in its four fault
+# scopes — full cluster, one target, a replica set, and a relay set
+# (the only driver of head-cut re-posting). Each run exits non-zero if
+# its invariant audit fails.
+crash-smoke: build
+	@set -e; for args in "" "-target" "-replicas 3" "-replicas 3 -relay"; do \
+		echo "== go run ./cmd/riocrash -seed 1 $$args"; $(GO) run ./cmd/riocrash -seed 1 $$args; done
+
+# Non-test Go lines, the benchmark module excluded (the size figure
+# CHANGES.md and ROADMAP.md track).
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './perfbench/*' ! -path './.bench_build/*' | xargs cat | wc -l
+
 # The CI perf gate: run the gated experiments fresh and fail on >10%
 # regression in the gated metrics vs the committed baseline.
 bench-gate: build
@@ -71,4 +84,4 @@ coverage: build
 	$(GO) test -coverprofile=coverage.out -coverpkg=./internal/order/...,./internal/stack/... ./internal/order/... ./internal/stack/...
 	$(GO) tool cover -func=coverage.out | tail -1
 
-ci: lint build race perfbench-check bench bench-gate examples
+ci: lint build race perfbench-check bench bench-gate examples crash-smoke

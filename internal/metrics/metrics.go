@@ -140,22 +140,6 @@ func (h *Histogram) Merge(o *Histogram) {
 	h.sum += o.sum
 }
 
-// Counter counts completed operations (and bytes) with support for snapping
-// a measurement window after warmup.
-type Counter struct {
-	Ops   int64
-	Bytes int64
-}
-
-// Add records n operations totalling b bytes.
-func (c *Counter) Add(n, b int64) {
-	c.Ops += n
-	c.Bytes += b
-}
-
-// Snapshot returns a copy for window arithmetic.
-func (c *Counter) Snapshot() Counter { return *c }
-
 // Sub returns the field-wise delta a - b of a counter struct (for
 // measurement windows). A counter struct holds only int64-kinded fields
 // (int64, sim.Time) and nested counter structs; any other field kind
@@ -185,32 +169,6 @@ func combineValue(dst, src reflect.Value, sign int64) {
 	default:
 		panic(fmt.Sprintf("metrics: counter field of type %s is not int64-kinded", dst.Type()))
 	}
-}
-
-// Window is a measurement interval with derived rates.
-type Window struct {
-	Elapsed sim.Time
-	Ops     int64
-	Bytes   int64
-}
-
-// IOPS returns operations per second over the window.
-func (w Window) IOPS() float64 {
-	if w.Elapsed <= 0 {
-		return 0
-	}
-	return float64(w.Ops) / w.Elapsed.Seconds()
-}
-
-// KIOPS returns thousands of operations per second.
-func (w Window) KIOPS() float64 { return w.IOPS() / 1e3 }
-
-// GBps returns gigabytes per second over the window.
-func (w Window) GBps() float64 {
-	if w.Elapsed <= 0 {
-		return 0
-	}
-	return float64(w.Bytes) / 1e9 / w.Elapsed.Seconds()
 }
 
 // PoolStats counts free-list traffic on a hot path: Hits are objects

@@ -103,34 +103,6 @@ func TestHistogramReset(t *testing.T) {
 	}
 }
 
-func TestCounterWindow(t *testing.T) {
-	var c Counter
-	c.Add(10, 4096*10)
-	snap := c.Snapshot()
-	c.Add(90, 4096*90)
-	d := Sub(c, snap)
-	if d.Ops != 90 || d.Bytes != 4096*90 {
-		t.Fatalf("delta = %+v", d)
-	}
-	w := Window{Elapsed: sim.Second, Ops: d.Ops, Bytes: d.Bytes}
-	if w.IOPS() != 90 {
-		t.Fatalf("IOPS = %f, want 90", w.IOPS())
-	}
-	if math.Abs(w.GBps()-4096*90/1e9) > 1e-12 {
-		t.Fatalf("GBps = %f", w.GBps())
-	}
-	if w.KIOPS() != 0.09 {
-		t.Fatalf("KIOPS = %f", w.KIOPS())
-	}
-}
-
-func TestWindowZeroElapsed(t *testing.T) {
-	w := Window{}
-	if w.IOPS() != 0 || w.GBps() != 0 {
-		t.Fatal("zero window must report zero rates")
-	}
-}
-
 func TestUtilizationFromResource(t *testing.T) {
 	e := sim.New(1)
 	r := sim.NewResource(e, 2)

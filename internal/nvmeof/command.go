@@ -211,31 +211,6 @@ func (c *SQE) VectorPos() (i, n int) {
 	return int(c[15] & 0xffff), int(c[15] >> 16)
 }
 
-// EncodeVector marks a batch of SQEs as one vectored submission toward a
-// single target.
-func EncodeVector(sqes []*SQE) {
-	for i, c := range sqes {
-		c.MarkVector(i, len(sqes))
-	}
-}
-
-// CheckVector verifies that a received batch is a complete, in-order
-// vectored submission: every entry carries the same batch length and the
-// positions run 0..n-1. A violation means the dispatcher mixed targets
-// within one vector or the batch was torn in transit.
-func CheckVector(sqes []*SQE) error {
-	for i, c := range sqes {
-		pos, n := c.VectorPos()
-		if n != len(sqes) {
-			return fmt.Errorf("nvmeof: vector entry %d claims batch length %d, batch has %d", i, n, len(sqes))
-		}
-		if pos != i {
-			return fmt.Errorf("nvmeof: vector entry %d carries position %d", i, pos)
-		}
-	}
-	return nil
-}
-
 // VectorCapsuleSize returns the wire size of a vectored command capsule
 // carrying n SQEs and the given inline data bytes: one shared fabrics
 // framing plus one SQE per command.

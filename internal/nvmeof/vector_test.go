@@ -7,16 +7,13 @@ import (
 )
 
 func TestVectorRoundTrip(t *testing.T) {
-	sqes := make([]*SQE, 5)
+	sqes := make([]SQE, 5)
 	for i := range sqes {
-		c := RioWriteCommand(0, core.Attr{Stream: 2, ReqID: uint32(i), SeqStart: 1, SeqEnd: 1, LBA: uint64(i * 8), Blocks: 8})
-		sqes[i] = &c
+		sqes[i] = RioWriteCommand(0, core.Attr{Stream: 2, ReqID: uint32(i), SeqStart: 1, SeqEnd: 1, LBA: uint64(i * 8), Blocks: 8})
+		sqes[i].MarkVector(i, len(sqes))
 	}
-	EncodeVector(sqes)
-	if err := CheckVector(sqes); err != nil {
-		t.Fatalf("intact vector rejected: %v", err)
-	}
-	for i, c := range sqes {
+	for i := range sqes {
+		c := &sqes[i]
 		pos, n := c.VectorPos()
 		if pos != i || n != len(sqes) {
 			t.Fatalf("entry %d decoded as %d of %d", i, pos, n)
@@ -26,33 +23,6 @@ func TestVectorRoundTrip(t *testing.T) {
 		if err != nil || a.ReqID != uint32(i) || a.LBA != uint64(i*8) {
 			t.Fatalf("attribute corrupted by vector marking: %+v, %v", a, err)
 		}
-	}
-}
-
-func TestCheckVectorTorn(t *testing.T) {
-	mk := func(n int) []*SQE {
-		out := make([]*SQE, n)
-		for i := range out {
-			c := WriteCommand(0, uint64(i), 1)
-			out[i] = &c
-		}
-		EncodeVector(out)
-		return out
-	}
-	// Truncated batch: entries claim a longer vector.
-	v := mk(4)
-	if err := CheckVector(v[:3]); err == nil {
-		t.Fatal("truncated vector accepted")
-	}
-	// Mixed batches: entry from another vector spliced in.
-	a, b := mk(3), mk(3)
-	a[1] = b[2]
-	if err := CheckVector(a); err == nil {
-		t.Fatal("spliced vector accepted")
-	}
-	// Single-command batches are valid vectors of one.
-	if err := CheckVector(mk(1)); err != nil {
-		t.Fatalf("singleton vector rejected: %v", err)
 	}
 }
 

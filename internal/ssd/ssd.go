@@ -596,9 +596,6 @@ func (s *SSD) PMRBytes() []byte { return s.pmr }
 // PMRWriteLat returns the persistence latency of one MMIO burst.
 func (s *SSD) PMRWriteLat() sim.Time { return s.cfg.PMRWriteLat }
 
-// ChannelBusy returns the busy-time integral of the media channels.
-func (s *SSD) ChannelBusy() sim.Time { return s.chanBusy.BusyTime() }
-
 // PowerCut models an instant power failure: the volatile cache and every
 // in-flight command are lost; media and PMR survive. The device ignores
 // submissions until Restart.
@@ -621,12 +618,3 @@ func (s *SSD) PowerCut() {
 
 // Restart powers the device back on with media and PMR intact.
 func (s *SSD) Restart() { s.dead = false }
-
-// QueueDepths reports the per-channel backlog (diagnostics).
-func (s *SSD) QueueDepths() []int {
-	out := make([]int, len(s.chanQs))
-	for i, q := range s.chanQs {
-		out[i] = q.Len()
-	}
-	return out
-}

@@ -100,7 +100,6 @@ type capsule struct {
 	cmds    []*wireState
 	ctrl    []*ctrlReq
 	retires []retire
-	inline  int
 	epoch   int
 
 	member int           // replication: destination member (sqes != nil)
@@ -126,6 +125,20 @@ type capsule struct {
 	// delivery, read by the target's receive loop. Capsules are built per
 	// post, so the stamps never alias across sends.
 	sentAt, deliveredAt sim.Time
+}
+
+// wireSize is the capsule's size on the wire: one fabrics framing, one
+// SQE per command, the inline payload of every non-flush command, and —
+// on a relay head capsule only — every follower's SQE slice.
+func (cp *capsule) wireSize(inlineThreshold int) int {
+	var inline int
+	for _, ws := range cp.cmds {
+		if !ws.flushWire {
+			inline += ws.wc.InlineBytes(inlineThreshold)
+		}
+	}
+	return nvmeof.VectorCapsuleSize(len(cp.cmds), inline) +
+		len(cp.relayTo)*len(cp.cmds)*nvmeof.SQESize
 }
 
 // FabricDelivered implements fabric.TracedPayload.

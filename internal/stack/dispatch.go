@@ -663,9 +663,6 @@ func (in *Initiator) postByTarget(p *sim.Proc, wires []*wireState, stream int) {
 			caps[ws.target] = cp
 		}
 		cp.cmds = append(cp.cmds, ws)
-		if !ws.flushWire {
-			cp.inline += ws.wc.InlineBytes(in.cfg.InlineThreshold)
-		}
 	}
 	for ti, cp := range caps {
 		if cp == nil {
@@ -679,19 +676,35 @@ func (in *Initiator) postByTarget(p *sim.Proc, wires []*wireState, stream int) {
 			ws.qp = qp
 			ws.sqe.MarkVector(i, len(cp.cmds))
 		}
-		size := nvmeof.VectorCapsuleSize(len(cp.cmds), cp.inline)
-		in.useInitCPU(p, in.costs.PostMsg)
-		if stall := in.targets[ti].conns[in.id].WaitTxSpace(p, fabric.Initiator); stall > 0 {
-			for _, ws := range cp.cmds {
-				addWaitWire(ws, trace.WaitTx, stall)
-			}
-		}
-		in.targets[ti].conns[in.id].Send(fabric.Initiator, fabric.Message{QP: qp, Size: size, Payload: cp})
-		in.stats.WireMessages++
-		in.stats.TxMsgs++
-		in.stats.TxBytes += int64(size)
-		in.stats.Batch.Ring(len(cp.cmds))
+		in.post(p, ti, qp, cp)
 	}
+}
+
+// post is the initiator's one capsule post: it charges the doorbell
+// (PostMsg), sends the capsule to target ti on queue pair qp, and counts
+// it — one wire message, one TX message of its wire size, one ring of
+// the batch-occupancy histogram.
+func (in *Initiator) post(p *sim.Proc, ti, qp int, cp *capsule) {
+	size := cp.wireSize(in.cfg.InlineThreshold)
+	in.useInitCPU(p, in.costs.PostMsg)
+	sendCapsule(p, in.targets[ti].conns[in.id], qp, size, cp)
+	in.stats.WireMessages++
+	in.stats.TxMsgs++
+	in.stats.TxBytes += int64(size)
+	in.stats.Batch.Ring(len(cp.cmds))
+}
+
+// sendCapsule waits for a TX-depth slot on conn's initiator side, books
+// any stall as WaitTx on every command aboard, and sends the capsule. It
+// serves both initiator posts and the relay head's forwards (the head
+// sits on the initiator side of its target-to-target conns).
+func sendCapsule(p *sim.Proc, conn *fabric.Conn, qp, size int, cp *capsule) {
+	if stall := conn.WaitTxSpace(p, fabric.Initiator); stall > 0 {
+		for _, ws := range cp.cmds {
+			addWaitWire(ws, trace.WaitTx, stall)
+		}
+	}
+	conn.Send(fabric.Initiator, fabric.Message{QP: qp, Size: size, Payload: cp})
 }
 
 // reapLoop is one shard's completion-reaping context (the initiator-side

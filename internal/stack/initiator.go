@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/blockdev"
 	"repro/internal/core"
-	"repro/internal/metrics"
 	"repro/internal/nvmeof"
 	"repro/internal/sim"
 	"repro/internal/ssd"
@@ -150,11 +149,6 @@ func (in *Initiator) Cluster() *Cluster { return in.c }
 // Costs exposes the calibrated cost model so upper layers (fs, kv)
 // charge the same per-operation CPU the stack itself uses.
 func (in *Initiator) Costs() CostModel { return in.costs }
-
-// Util snapshots this initiator's CPU for utilization windows.
-func (in *Initiator) Util() metrics.UtilSnapshot {
-	return metrics.SnapUtil(in.cores, in.Eng.Now())
-}
 
 // appendRetires appends to dst every stream's retire watermark toward
 // target that advanced since it last rode a capsule there. Marks of all

@@ -39,18 +39,18 @@ func rcKeySplit(k uint64) (dev int, devLBA uint64) {
 
 // RCacheStats counts read-cache and read-ahead events on one initiator.
 type RCacheStats struct {
-	Hits          int64
-	Misses        int64
-	Inserts       int64
-	Evictions     int64
-	Invalidations int64
+	Hits          int64 // demand reads served from the cache
+	Misses        int64 // demand reads that crossed the fabric
+	Inserts       int64 // blocks populated (read completions and writes)
+	Evictions     int64 // blocks displaced by CLOCK replacement
+	Invalidations int64 // blocks fenced by faults, recovery or resync
 
 	ReadAheadIssued int64 // blocks prefetched
-	ReadAheadHits   int64 // prefetched blocks that served a demand hit
-	ReadAheadWasted int64 // prefetched blocks evicted/invalidated unused
+	ReadAheadHits   int64 // prefetched blocks later hit by demand reads
+	ReadAheadWasted int64 // prefetched blocks evicted or fenced unused
 }
 
-// HitRate returns hits / (hits + misses), 0 when no read probed.
+// HitRate returns Hits / (Hits + Misses), or 0 before any read.
 func (s RCacheStats) HitRate() float64 {
 	if s.Hits+s.Misses == 0 {
 		return 0

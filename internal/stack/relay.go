@@ -8,7 +8,6 @@ import (
 	"repro/internal/fabric"
 	"repro/internal/nvmeof"
 	"repro/internal/sim"
-	"repro/internal/trace"
 )
 
 // The replication fast path (Config.ReplRelay). The direct fan-out path
@@ -204,26 +203,15 @@ func (in *Initiator) nextRelaySeq(set, qp int) uint64 {
 func (in *Initiator) postRelay(p *sim.Proc, rs *replicaSet, cmds []*wireState, stream int) {
 	qp := in.qpFor(stream)
 	head := rs.relayHead()
-	cp := &capsule{epoch: in.epoch, member: head}
+	cp := &capsule{cmds: cmds, epoch: in.epoch, member: head}
 	cp.relayTo = append(cp.relayTo, rs.members[1:]...)
+	cp.sqes, cp.attrs = memberSlice(cmds, 0)
 	cp.relaySQEs = make([][]nvmeof.SQE, len(cp.relayTo))
 	cp.relayAttrs = make([][][]core.Attr, len(cp.relayTo))
-	var inline int
-	for i, ws := range cmds {
-		sqe := ws.repl.sqes[0]
-		sqe.MarkVector(i, len(cmds))
-		cp.cmds = append(cp.cmds, ws)
-		cp.sqes = append(cp.sqes, sqe)
-		cp.attrs = append(cp.attrs, ws.repl.attrs[0])
-		for k := 1; k < len(rs.members); k++ {
-			fsqe := ws.repl.sqes[k]
-			fsqe.MarkVector(i, len(cmds))
-			cp.relaySQEs[k-1] = append(cp.relaySQEs[k-1], fsqe)
-			cp.relayAttrs[k-1] = append(cp.relayAttrs[k-1], ws.repl.attrs[k])
-		}
-		if !ws.flushWire {
-			inline += ws.wc.InlineBytes(in.cfg.InlineThreshold)
-		}
+	for k := 1; k < len(rs.members); k++ {
+		cp.relaySQEs[k-1], cp.relayAttrs[k-1] = memberSlice(cmds, k)
+	}
+	for _, ws := range cmds {
 		ws.qp = qp
 	}
 	if in.cfg.Mode == ModeRio {
@@ -243,21 +231,8 @@ func (in *Initiator) postRelay(p *sim.Proc, rs *replicaSet, cmds []*wireState, s
 	}
 	// One capsule carries the head's vectored batch plus the followers'
 	// SQE slices (their attrs ride in the SQE reserved dwords, their data
-	// is the same inline payload the head forwards).
-	size := nvmeof.VectorCapsuleSize(len(cmds), inline) +
-		len(cp.relayTo)*len(cmds)*nvmeof.SQESize
-	in.useInitCPU(p, in.costs.PostMsg)
-	conn := in.targets[head].conns[in.id]
-	if stall := conn.WaitTxSpace(p, fabric.Initiator); stall > 0 {
-		for _, ws := range cmds {
-			addWaitWire(ws, trace.WaitTx, stall)
-		}
-	}
-	conn.Send(fabric.Initiator, fabric.Message{QP: qp, Size: size, Payload: cp})
-	in.stats.WireMessages++
-	in.stats.TxMsgs++
-	in.stats.TxBytes += int64(size)
-	in.stats.Batch.Ring(len(cmds))
+	// is the same inline payload the head forwards): wireSize counts both.
+	in.post(p, head, qp, cp)
 }
 
 // relayFanOut runs at the head when a relay capsule arrives, BEFORE the
@@ -285,12 +260,9 @@ func (t *Target) relayFanOut(p *sim.Proc, cp *capsule, init, qp int) {
 			}
 		}
 	}
-	var inline int
-	for _, ws := range cp.cmds {
-		if !ws.flushWire {
-			inline += ws.wc.InlineBytes(t.c.cfg.InlineThreshold)
-		}
-	}
+	// Every follower's capsule carries the same commands; size it once,
+	// before the first yield.
+	size := (&capsule{cmds: cp.cmds}).wireSize(t.c.cfg.InlineThreshold)
 	for j, f := range cp.relayTo {
 		pos := rs.pos(f)
 		conn := rs.relay[pos]
@@ -310,18 +282,12 @@ func (t *Target) relayFanOut(p *sim.Proc, cp *capsule, init, qp int) {
 			fcp.relayAcked = gc
 			t.relayGC[f] = nil
 		}
-		size := nvmeof.VectorCapsuleSize(len(fcp.cmds), inline)
 		t.cores.Use(p, t.c.costs.PostMsg)
 		t.stats.Relays++
 		if !t.alive {
 			return // power cut mid-fan-out: the rest dies with the NIC
 		}
-		if stall := conn.WaitTxSpace(p, fabric.Initiator); stall > 0 {
-			for _, ws := range fcp.cmds {
-				addWaitWire(ws, trace.WaitTx, stall)
-			}
-		}
-		conn.Send(fabric.Initiator, fabric.Message{QP: qp, Size: size, Payload: fcp})
+		sendCapsule(p, conn, qp, size, fcp)
 	}
 }
 
@@ -672,27 +638,15 @@ func (c *Cluster) repostAfterHeadCut(rs *replicaSet, head int) {
 			if !in.alive || in.epoch != epochs[in.id] || w.ws.repl.q.Resolved[w.k] {
 				continue
 			}
-			sqe := w.ws.repl.sqes[w.k]
-			sqe.MarkVector(0, 1)
-			cp := &capsule{
-				cmds:   []*wireState{w.ws},
-				epoch:  epochs[in.id],
-				member: w.m,
-				sqes:   []nvmeof.SQE{sqe},
-				attrs:  [][]core.Attr{w.ws.repl.attrs[w.k]},
-			}
-			var inline int
-			if !w.ws.flushWire {
-				inline = w.ws.wc.InlineBytes(in.cfg.InlineThreshold)
-			}
-			size := nvmeof.VectorCapsuleSize(1, inline)
+			cp := &capsule{cmds: []*wireState{w.ws}, epoch: epochs[in.id], member: w.m}
+			cp.sqes, cp.attrs = memberSlice(cp.cmds, w.k)
+			size := cp.wireSize(in.cfg.InlineThreshold)
 			in.useInitCPU(p, in.costs.PostMsg)
 			conn := in.targets[w.m].conns[in.id]
 			if !conn.Up() || !in.alive || in.epoch != epochs[in.id] {
 				continue
 			}
-			conn.WaitTxSpace(p, fabric.Initiator)
-			conn.Send(fabric.Initiator, fabric.Message{QP: w.ws.qp, Size: size, Payload: cp})
+			sendCapsule(p, conn, w.ws.qp, size, cp)
 			in.stats.WireMessages++
 			in.stats.TxMsgs++
 			in.stats.TxBytes += int64(size)

@@ -72,17 +72,6 @@ func (rs *replicaSet) pos(target int) int {
 	return -1
 }
 
-// inSyncMembers appends the current in-sync members to dst (ascending
-// member order — deterministic).
-func (rs *replicaSet) inSyncMembers(dst []int) []int {
-	for k, m := range rs.members {
-		if rs.inSync[k] {
-			dst = append(dst, m)
-		}
-	}
-	return dst
-}
-
 func (rs *replicaSet) inSyncCount() int {
 	n := 0
 	for _, ok := range rs.inSync {
@@ -384,37 +373,32 @@ func (in *Initiator) postReplicated(p *sim.Proc, wires []*wireState, stream int)
 		// (no yield between their assignments), so the first command's
 		// member list is the batch's.
 		members := cmds[0].repl.q.Members
+		for _, ws := range cmds {
+			ws.qp = qp
+		}
 		for k, m := range members {
-			cp := &capsule{epoch: in.epoch, member: m}
-			var inline int
-			for i, ws := range cmds {
-				sqe := ws.repl.sqes[k]
-				sqe.MarkVector(i, len(cmds))
-				cp.cmds = append(cp.cmds, ws)
-				cp.sqes = append(cp.sqes, sqe)
-				cp.attrs = append(cp.attrs, ws.repl.attrs[k])
-				if !ws.flushWire {
-					inline += ws.wc.InlineBytes(in.cfg.InlineThreshold)
-				}
-				ws.qp = qp
-			}
+			cp := &capsule{cmds: cmds, epoch: in.epoch, member: m}
+			cp.sqes, cp.attrs = memberSlice(cmds, k)
 			if in.cfg.Mode == ModeRio {
 				cp.retires = in.appendRetires(cp.retires, m)
 			}
-			size := nvmeof.VectorCapsuleSize(len(cmds), inline)
-			in.useInitCPU(p, in.costs.PostMsg)
-			if stall := in.targets[m].conns[in.id].WaitTxSpace(p, fabric.Initiator); stall > 0 {
-				for _, ws := range cmds {
-					addWaitWire(ws, trace.WaitTx, stall)
-				}
-			}
-			in.targets[m].conns[in.id].Send(fabric.Initiator, fabric.Message{QP: qp, Size: size, Payload: cp})
-			in.stats.WireMessages++
-			in.stats.TxMsgs++
-			in.stats.TxBytes += int64(size)
-			in.stats.Batch.Ring(len(cmds))
+			in.post(p, m, qp, cp)
 		}
 	}
+}
+
+// memberSlice returns member position k's copy of a replicated batch:
+// each command's member SQE, vector-marked for the batch, and its member
+// attribute chain.
+func memberSlice(cmds []*wireState, k int) ([]nvmeof.SQE, [][]core.Attr) {
+	sqes := make([]nvmeof.SQE, len(cmds))
+	attrs := make([][]core.Attr, len(cmds))
+	for i, ws := range cmds {
+		sqes[i] = ws.repl.sqes[k]
+		sqes[i].MarkVector(i, len(cmds))
+		attrs[i] = ws.repl.attrs[k]
+	}
+	return sqes, attrs
 }
 
 // replAck accounts one member CQE for a replicated command: the

@@ -330,9 +330,6 @@ func (t *Target) GateAudit() int { return t.ord.Audit() }
 // SSD returns device i of this target.
 func (t *Target) SSD(i int) *ssd.SSD { return t.ssds[i] }
 
-// Cores exposes the CPU pool (for utilization measurements).
-func (t *Target) Cores() *sim.Resource { return t.cores }
-
 // Alive reports whether the server is powered.
 func (t *Target) Alive() bool { return t.alive }
 
@@ -529,12 +526,23 @@ func (t *Target) handleCtrl(p *sim.Proc, cp *capsule, init, qp int) {
 		t.appendPMR(p, cr.attr)
 		acks = append(acks, cr)
 	}
+	t.postCompletion(p, init, nvmeof.ResponseSize,
+		&completionMsg{ctrlAcks: acks, qp: qp, epoch: cp.epoch, from: t.id})
+}
+
+// postCompletion is the target's one response post: it charges the
+// doorbell (PostMsg) and, unless a power cut hit while posting (the
+// capsule dies with the NIC; reported false), counts and sends the
+// response capsule to initiator init on the capsule's queue pair.
+func (t *Target) postCompletion(p *sim.Proc, init, size int, cm *completionMsg) bool {
 	t.cores.Use(p, t.c.costs.PostMsg)
+	if !t.alive {
+		return false
+	}
 	t.stats.Responses++
-	t.conns[init].Send(fabric.Target, fabric.Message{
-		QP: qp, Size: nvmeof.ResponseSize,
-		Payload: &completionMsg{ctrlAcks: acks, qp: qp, epoch: cp.epoch, from: t.id},
-	})
+	t.stats.CQEs += int64(len(cm.cqes))
+	t.conns[init].Send(fabric.Target, fabric.Message{QP: cm.qp, Size: size, Payload: cm})
+	return true
 }
 
 // appendPMR persists one ordering attribute (step 5 of Fig. 4) into the
@@ -932,13 +940,7 @@ func (t *Target) respond(p *sim.Proc, ws *wireState, tEpoch int) {
 		if t.c.tracer != nil {
 			cm.respondAt = []sim.Time{t.c.Eng.Now()}
 		}
-		t.cores.Use(p, t.c.costs.PostMsg)
-		t.stats.Responses++
-		t.stats.CQEs++
-		t.conns[init].Send(fabric.Target, fabric.Message{
-			QP: qp, Size: nvmeof.ResponseSize,
-			Payload: cm,
-		})
+		t.postCompletion(p, init, nvmeof.ResponseSize, cm)
 		return
 	}
 	if len(t.cqePend[init][qp]) == 0 {
@@ -1054,17 +1056,10 @@ func (t *Target) flushCQEs(p *sim.Proc, init, qp int) {
 		size = nvmeof.CQEVectorCapsuleSize(len(batch))
 	}
 	size += len(resolved) * nvmeof.ResponseSize
-	t.cores.Use(p, t.c.costs.PostMsg)
-	if !t.alive {
-		return // power cut while posting: the capsule dies with the NIC
+	cm := &completionMsg{cqes: batch, qp: qp, epoch: epoch, from: t.id, respondAt: batchT, agg: agg, resolved: resolved}
+	if t.postCompletion(p, init, size, cm) {
+		t.noteForwarded(init, agg, batch, resolved)
 	}
-	t.stats.Responses++
-	t.stats.CQEs += int64(len(batch))
-	t.conns[init].Send(fabric.Target, fabric.Message{
-		QP: qp, Size: size,
-		Payload: &completionMsg{cqes: batch, qp: qp, epoch: epoch, from: t.id, respondAt: batchT, agg: agg, resolved: resolved},
-	})
-	t.noteForwarded(init, agg, batch, resolved)
 }
 
 // retireUpTo recycles PMR entries whose completions the owning initiator

@@ -61,9 +61,6 @@ func NewRing(ctx *rio.Ctx, stream int, depth int) *Ring {
 	return &Ring{ctx: ctx, stream: ctx.Stream(stream), depth: depth}
 }
 
-// Depth returns the configured submission depth.
-func (r *Ring) Depth() int { return r.depth }
-
 // Inflight returns the number of unharvested operations.
 func (r *Ring) Inflight() int { return len(r.queue) }
 

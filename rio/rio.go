@@ -117,10 +117,6 @@ type Options struct {
 type TraceOptions struct {
 	// SampleEvery traces 1 in N submitted writes per shard (0 = off).
 	SampleEvery int
-	// Keep bounds the ring of retained per-span records for offline
-	// analysis (Chrome trace export, p99 stage budgets). 0 keeps only
-	// aggregates.
-	Keep int
 }
 
 // ReadOptions configures the initiator-side read path. Every field
@@ -199,7 +195,7 @@ func NewCluster(o Options) *Cluster {
 	cfg.KeepHistory = o.History
 	cfg.CacheBlocks = o.Read.CacheBlocks
 	cfg.ReadAhead = o.Read.ReadAhead
-	cfg.Trace = trace.Config{SampleEvery: o.Trace.SampleEvery, Keep: o.Trace.Keep}
+	cfg.Trace = trace.Config{SampleEvery: o.Trace.SampleEvery}
 	eng := sim.New(cfg.Seed)
 	return &Cluster{eng: eng, inner: stack.New(eng, cfg), read: o.Read}
 }
@@ -345,53 +341,23 @@ func (ctx *Ctx) Flush() { ctx.in.FlushDevice(ctx.p, 0) }
 
 // CacheStats is a snapshot of one initiator's block-cache counters.
 // All zeros when the cache is disabled (ReadOptions.CacheBlocks == 0).
-type CacheStats struct {
-	Hits          int64 // demand reads served from the cache
-	Misses        int64 // demand reads that crossed the fabric
-	Inserts       int64 // blocks populated (read completions and writes)
-	Evictions     int64 // blocks displaced by CLOCK replacement
-	Invalidations int64 // blocks fenced by faults, recovery or resync
-
-	ReadAheadIssued int64 // blocks prefetched
-	ReadAheadHits   int64 // prefetched blocks later hit by demand reads
-	ReadAheadWasted int64 // prefetched blocks evicted or fenced unused
-}
-
-// HitRate returns Hits / (Hits + Misses), or 0 before any read.
-func (s CacheStats) HitRate() float64 {
-	if s.Hits+s.Misses == 0 {
-		return 0
-	}
-	return float64(s.Hits) / float64(s.Hits+s.Misses)
-}
-
-func cacheStatsFrom(rs stack.RCacheStats) CacheStats {
-	return CacheStats{
-		Hits:            rs.Hits,
-		Misses:          rs.Misses,
-		Inserts:         rs.Inserts,
-		Evictions:       rs.Evictions,
-		Invalidations:   rs.Invalidations,
-		ReadAheadIssued: rs.ReadAheadIssued,
-		ReadAheadHits:   rs.ReadAheadHits,
-		ReadAheadWasted: rs.ReadAheadWasted,
-	}
-}
+// The concrete type is internal/stack.RCacheStats.
+type CacheStats = stack.RCacheStats
 
 // CacheStats returns the block-cache counters of one initiator.
 func (c *Cluster) CacheStats(init int) CacheStats {
-	return cacheStatsFrom(c.inner.Init(init).ReadCacheStats())
+	return c.inner.Init(init).ReadCacheStats()
 }
 
 // CacheStatsAll sums the block-cache counters across every initiator.
 func (c *Cluster) CacheStatsAll() CacheStats {
-	return cacheStatsFrom(c.inner.ReadCacheStatsAll())
+	return c.inner.ReadCacheStatsAll()
 }
 
 // CacheStats returns the block-cache counters of this context's
 // initiator.
 func (ctx *Ctx) CacheStats() CacheStats {
-	return cacheStatsFrom(ctx.in.ReadCacheStats())
+	return ctx.in.ReadCacheStats()
 }
 
 // TraceStats is the aggregated tracing view: sampled/finished/dropped
@@ -403,17 +369,6 @@ type TraceStats = trace.Stats
 
 // TraceStats returns the cluster-wide tracing aggregates.
 func (c *Cluster) TraceStats() TraceStats { return c.inner.TraceStats() }
-
-// TraceSpans returns the retained per-span records (up to
-// TraceOptions.Keep, oldest first) for offline analysis — feed them to
-// internal/trace.WriteChrome for a chrome://tracing timeline or
-// internal/trace.BudgetP99 for a p99 stage budget.
-func (c *Cluster) TraceSpans() []trace.SpanRecord {
-	if tr := c.inner.Tracer(); tr != nil {
-		return tr.Retained()
-	}
-	return nil
-}
 
 // TraceStats returns the cluster-wide tracing aggregates (all zeros when
 // tracing is off).
