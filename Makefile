@@ -1,7 +1,7 @@
 GO ?= go
 STATICCHECK ?= staticcheck
 
-.PHONY: all build test race vet fmt fmt-check staticcheck lint perfbench-check bench bench-json bench-gate coverage examples crash-smoke loc ci
+.PHONY: all build test race vet fmt fmt-check staticcheck lint perfbench-check bench bench-json bench-gate coverage examples crash-smoke sim-bench loc ci
 
 all: build test
 
@@ -67,6 +67,12 @@ crash-smoke: build
 	@set -e; for args in "" "-target" "-replicas 3" "-replicas 3 -relay"; do \
 		echo "== go run ./cmd/riocrash -seed 1 $$args"; $(GO) run ./cmd/riocrash -seed 1 $$args; done
 
+# Engine micro-benchmarks (sleep round trip, cond hand-off) as a smoke
+# that only has to complete: TestSteadyStateAllocFree is the hard gate on
+# the engine's allocations.
+sim-bench:
+	$(GO) test -run '^$$' -bench . -benchmem -benchtime 100000x ./internal/sim
+
 # Non-test Go lines, the benchmark module excluded (the size figure
 # CHANGES.md and ROADMAP.md track).
 loc:
@@ -84,4 +90,4 @@ coverage: build
 	$(GO) test -coverprofile=coverage.out -coverpkg=./internal/order/...,./internal/stack/... ./internal/order/... ./internal/stack/...
 	$(GO) tool cover -func=coverage.out | tail -1
 
-ci: lint build race perfbench-check bench bench-gate examples crash-smoke
+ci: lint build race perfbench-check sim-bench bench bench-gate examples crash-smoke

@@ -288,12 +288,16 @@ func (db *DB) Get(p *sim.Proc, key string) bool {
 			return v != tombstone
 		}
 	}
-	for i := len(db.l0) - 1; i >= 0; i-- {
-		if found, live := db.sstLookup(p, db.l0[i], key); found {
+	// Scan one version of the file set: sstLookup yields, and a flush
+	// that compacts meanwhile replaces db.l0 and db.l1. Every key of the
+	// old files is also in the new L1, so the old version still decides.
+	l0, l1 := db.l0, db.l1
+	for i := len(l0) - 1; i >= 0; i-- {
+		if found, live := db.sstLookup(p, l0[i], key); found {
 			return live
 		}
 	}
-	for _, f := range db.l1 {
+	for _, f := range l1 {
 		if key >= f.min && key <= f.max {
 			if found, live := db.sstLookup(p, f, key); found {
 				return live

@@ -119,6 +119,45 @@ func TestCompactionTriggers(t *testing.T) {
 	eng.Shutdown()
 }
 
+// TestGetDuringCompaction: a Get blocks on SST reads while concurrent
+// flushes compact L0 into L1 under it; the scan must keep to the file
+// set it started with instead of indexing the replaced one.
+func TestGetDuringCompaction(t *testing.T) {
+	eng, fsys, cfg := testDB(5)
+	cfg.MemtableBytes = 8 << 10
+	cfg.MaxL0Files = 4
+	var db *DB
+	eng.Go("open", func(p *sim.Proc) {
+		var err error
+		if db, err = Open(p, fsys, cfg); err != nil {
+			t.Error(err)
+			return
+		}
+		for w := 0; w < 2; w++ {
+			eng.Go(fmt.Sprintf("writer%d", w), func(p *sim.Proc) {
+				for i := 0; i < 400; i++ {
+					db.Put(p, w, fmt.Sprintf("w%d-%06d", w, i), cfg.ValueSize)
+				}
+			})
+		}
+		for r := 0; r < 4; r++ {
+			eng.Go(fmt.Sprintf("reader%d", r), func(p *sim.Proc) {
+				for i := 0; i < 2000; i++ {
+					db.Get(p, "w0-000000")
+				}
+			})
+		}
+	})
+	eng.Run()
+	eng.Shutdown()
+	if db == nil {
+		t.Fatal("open failed")
+	}
+	if db.Stats().Compactions == 0 {
+		t.Fatal("no compaction ran under the readers")
+	}
+}
+
 func TestWALSurvivesCrash(t *testing.T) {
 	eng, fsys, cfg := testDB(4)
 	c := fsys.Cluster()

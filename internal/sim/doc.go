@@ -12,10 +12,18 @@
 //
 //   - Callbacks: Engine.At(d, fn) schedules fn to run d nanoseconds from
 //     now on the engine goroutine. Callbacks must not block.
-//   - Processes: Engine.Go(name, fn) spawns a Proc, a goroutine that may
-//     Sleep, wait on Conds, acquire Resources and pop Queues. The engine
-//     and processes hand control back and forth over unbuffered channels,
-//     so at most one goroutine ever touches simulation state.
+//   - Processes: Engine.Go(name, fn) spawns a Proc, a coroutine (stdlib
+//     iter.Pull) that may Sleep, wait on Conds, acquire Resources and pop
+//     Queues. The engine resumes a proc with a direct coroutine switch and
+//     the proc parks by yielding back, so at most one of them ever touches
+//     simulation state and no goroutine scheduler sits in between.
+//
+// The event heap is a 4-ary heap of event values ordered by (time,
+// sequence number); the unique sequence number makes same-time events run
+// in scheduling order. An event either runs a callback or resumes a proc,
+// so a Sleep or a wake schedules without allocating, and Cond waiter
+// lists and Queue items reuse their storage: after warm-up a sleep, a
+// wake, a queue hand-off or an uncontended Resource.Use allocates nothing.
 //
 // Resources track a busy-time integral, which is how CPU utilization (and
 // therefore the paper's CPU-efficiency metric, throughput ÷ utilization)

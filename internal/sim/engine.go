@@ -1,8 +1,8 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
+	"math"
 	"math/rand"
 )
 
@@ -34,29 +34,76 @@ func (t Time) String() string {
 // Seconds returns t as floating-point seconds.
 func (t Time) Seconds() float64 { return float64(t) / float64(Second) }
 
+// An event is one entry of the engine's heap. It either runs fn or, when
+// proc is set, resumes that process; a resume that came from wake also
+// clears the proc's wakeQueued flag. Events are stored by value, so
+// scheduling a resume allocates nothing.
 type event struct {
-	at  Time
-	seq uint64 // tie-breaker: FIFO among same-time events
-	fn  func()
+	at   Time
+	seq  uint64 // tie-breaker: FIFO among same-time events
+	fn   func()
+	proc *Proc
+	wake bool
 }
 
+// before is the heap order: (at, seq). seq is unique, so it is total.
+func (a *event) before(b *event) bool {
+	if a.at != b.at {
+		return a.at < b.at
+	}
+	return a.seq < b.seq
+}
+
+// eventHeap is a 4-ary min-heap of events ordered by before. Sifts move
+// a hole rather than swapping, so each level costs one event copy.
 type eventHeap []event
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+func (h *eventHeap) push(ev event) {
+	q := append(*h, event{})
+	i := len(q) - 1
+	for i > 0 {
+		parent := (i - 1) / 4
+		if !ev.before(&q[parent]) {
+			break
+		}
+		q[i] = q[parent]
+		i = parent
 	}
-	return h[i].seq < h[j].seq
+	q[i] = ev
+	*h = q
 }
-func (h eventHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x interface{}) { *h = append(*h, x.(event)) }
-func (h *eventHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	*h = old[:n-1]
-	return e
+
+func (h *eventHeap) pop() event {
+	q := *h
+	top := q[0]
+	n := len(q) - 1
+	last := q[n]
+	q[n] = event{} // drop the fn/proc references
+	q = q[:n]
+	*h = q
+	if n == 0 {
+		return top
+	}
+	i := 0
+	for {
+		first := 4*i + 1
+		if first >= n {
+			break
+		}
+		least := first
+		for c := first + 1; c < first+4 && c < n; c++ {
+			if q[c].before(&q[least]) {
+				least = c
+			}
+		}
+		if !q[least].before(&last) {
+			break
+		}
+		q[i] = q[least]
+		i = least
+	}
+	q[i] = last
+	return top
 }
 
 // Engine is a discrete-event simulator. The zero value is not usable; call
@@ -66,7 +113,6 @@ type Engine struct {
 	events  eventHeap
 	seq     uint64
 	rng     *rand.Rand
-	parked  chan struct{} // procs signal the engine here when they yield
 	live    map[*Proc]struct{}
 	stopped bool
 	fault   interface{} // panic value captured from a proc
@@ -76,9 +122,8 @@ type Engine struct {
 // seed.
 func New(seed int64) *Engine {
 	return &Engine{
-		rng:    rand.New(rand.NewSource(seed)),
-		parked: make(chan struct{}),
-		live:   make(map[*Proc]struct{}),
+		rng:  rand.New(rand.NewSource(seed)),
+		live: make(map[*Proc]struct{}),
 	}
 }
 
@@ -92,24 +137,27 @@ func (e *Engine) Rand() *rand.Rand { return e.rng }
 // At schedules fn to run d nanoseconds from now. d must be >= 0. fn runs on
 // the engine goroutine and must not block; use Go for blocking work.
 func (e *Engine) At(d Time, fn func()) {
+	e.schedule(d, event{fn: fn})
+}
+
+// schedule stamps ev with its time and the next sequence number and
+// queues it.
+func (e *Engine) schedule(d Time, ev event) {
 	if d < 0 {
 		panic("sim: negative delay")
 	}
 	e.seq++
-	heap.Push(&e.events, event{at: e.now + d, seq: e.seq, fn: fn})
+	ev.at, ev.seq = e.now+d, e.seq
+	e.events.push(ev)
 }
 
 // Run processes events until the event heap is empty or Stop is called.
-func (e *Engine) Run() {
-	e.runWhile(func() bool { return len(e.events) > 0 })
-}
+func (e *Engine) Run() { e.runUntil(math.MaxInt64) }
 
 // RunUntil processes all events scheduled at or before t, then advances the
 // clock to exactly t.
 func (e *Engine) RunUntil(t Time) {
-	e.runWhile(func() bool {
-		return len(e.events) > 0 && e.events[0].at <= t
-	})
+	e.runUntil(t)
 	if e.now < t {
 		e.now = t
 	}
@@ -121,15 +169,25 @@ func (e *Engine) RunFor(d Time) { e.RunUntil(e.now + d) }
 // Stop aborts the current Run/RunUntil after the current event completes.
 func (e *Engine) Stop() { e.stopped = true }
 
-func (e *Engine) runWhile(cond func() bool) {
+// runUntil processes events scheduled at or before t until none is left
+// or Stop is called, re-panicking any proc failure on the engine
+// goroutine.
+func (e *Engine) runUntil(t Time) {
 	e.stopped = false
-	for !e.stopped && cond() {
-		ev := heap.Pop(&e.events).(event)
+	for !e.stopped && len(e.events) > 0 && e.events[0].at <= t {
+		ev := e.events.pop()
 		if ev.at < e.now {
 			panic("sim: time went backwards")
 		}
 		e.now = ev.at
-		ev.fn()
+		if p := ev.proc; p != nil {
+			if ev.wake {
+				p.wakeQueued = false
+			}
+			p.next()
+		} else {
+			ev.fn()
+		}
 		if e.fault != nil {
 			f := e.fault
 			e.fault = nil
@@ -138,22 +196,14 @@ func (e *Engine) runWhile(cond func() bool) {
 	}
 }
 
-// Shutdown terminates every parked process so their goroutines exit. The
-// engine must not be used afterwards. It is safe to call multiple times.
+// Shutdown terminates every live process: a parked one unwinds from its
+// park point, and one that never ran never runs its body. The engine must
+// not be used afterwards. It is safe to call multiple times.
 func (e *Engine) Shutdown() {
 	for p := range e.live {
-		if p.parkedNow {
-			p.killed = true
-			e.resumeNow(p)
-		}
+		p.stop()
 	}
 	e.live = map[*Proc]struct{}{}
-}
-
-// resumeNow transfers control to p and blocks until p yields back.
-func (e *Engine) resumeNow(p *Proc) {
-	p.resume <- struct{}{}
-	<-e.parked
 }
 
 // wake schedules p to resume at the current time (FIFO among same-time
@@ -163,8 +213,5 @@ func (e *Engine) wake(p *Proc) {
 		panic("sim: double wake of proc " + p.name)
 	}
 	p.wakeQueued = true
-	e.At(0, func() {
-		p.wakeQueued = false
-		e.resumeNow(p)
-	})
+	e.schedule(0, event{proc: p, wake: true})
 }

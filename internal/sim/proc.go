@@ -1,17 +1,21 @@
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"iter"
+	"runtime/debug"
+)
 
-// A Proc is a simulated thread of execution: a goroutine that alternates
-// between running (while the engine is blocked) and being parked (while the
-// engine runs other work). Procs may block with Sleep, Cond.Wait,
+// A Proc is a simulated thread of execution: a coroutine that alternates
+// between running (while the engine waits for it) and being parked (while
+// the engine runs other work). Procs may block with Sleep, Cond.Wait,
 // Resource.Acquire and Queue.Pop; callbacks may not.
 type Proc struct {
 	eng        *Engine
 	name       string
-	resume     chan struct{}
-	killed     bool
-	parkedNow  bool
+	next       func() (struct{}, bool) // runs the proc until it parks or ends
+	stop       func()                  // unwinds a parked proc (see Shutdown)
+	yield      func(struct{}) bool     // parks the proc; false once stopped
 	wakeQueued bool
 }
 
@@ -23,25 +27,24 @@ type procKilled struct{}
 // The returned Proc is mainly useful for diagnostics; fn receives it as its
 // execution context.
 func (e *Engine) Go(name string, fn func(p *Proc)) *Proc {
-	// A new proc starts parked on its first scheduling, so Shutdown
-	// unwinds it even if the engine never ran it.
-	p := &Proc{eng: e, name: name, resume: make(chan struct{}), parkedNow: true}
+	p := &Proc{eng: e, name: name}
 	e.live[p] = struct{}{}
-	go func() {
+	p.next, p.stop = iter.Pull(func(yield func(struct{}) bool) {
+		p.yield = yield
 		defer func() {
 			delete(e.live, p)
 			if r := recover(); r != nil {
 				if _, ok := r.(procKilled); !ok {
-					// Surface the panic through the engine so tests see it.
-					e.fault = fmt.Sprintf("sim: proc %q panicked: %v", p.name, r)
+					// Surface the panic through the engine so tests see it,
+					// with the proc's own stack: the engine re-panics on
+					// its goroutine, whose stack does not show where.
+					e.fault = fmt.Sprintf("sim: proc %q panicked: %v\n%s", p.name, r, debug.Stack())
 				}
 			}
-			e.parked <- struct{}{} // final yield
 		}()
-		p.awaitResume()
 		fn(p)
-	}()
-	e.At(0, func() { e.resumeNow(p) })
+	})
+	e.schedule(0, event{proc: p})
 	return p
 }
 
@@ -54,20 +57,11 @@ func (p *Proc) Name() string { return p.name }
 // Now returns the current simulated time.
 func (p *Proc) Now() Time { return p.eng.now }
 
-// park yields control to the engine and blocks until the engine resumes
-// this process (via Engine.wake or Engine.Shutdown).
+// park yields control to the engine until it resumes this process (via a
+// Sleep timer or Engine.wake), unwinding it if Engine.Shutdown stopped it
+// instead.
 func (p *Proc) park() {
-	p.parkedNow = true
-	p.eng.parked <- struct{}{}
-	p.awaitResume()
-}
-
-// awaitResume blocks until the engine resumes this process, unwinding it
-// if the resume came from Shutdown.
-func (p *Proc) awaitResume() {
-	<-p.resume
-	p.parkedNow = false
-	if p.killed {
+	if !p.yield(struct{}{}) {
 		panic(procKilled{})
 	}
 }
@@ -80,7 +74,7 @@ func (p *Proc) Sleep(d Time) {
 	if d == 0 {
 		return
 	}
-	p.eng.At(d, func() { p.eng.resumeNow(p) })
+	p.eng.schedule(d, event{proc: p})
 	p.park()
 }
 

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"runtime"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -126,8 +127,14 @@ func TestProcPanicPropagates(t *testing.T) {
 		panic("boom")
 	})
 	defer func() {
-		if r := recover(); r == nil {
+		r := recover()
+		if r == nil {
 			t.Fatal("expected engine to re-panic proc failure")
+		}
+		// The fault carries the proc's own stack, not just the engine's.
+		msg, _ := r.(string)
+		if !strings.Contains(msg, "boom") || !strings.Contains(msg, "TestProcPanicPropagates") {
+			t.Fatalf("fault does not name the panicking function:\n%v", r)
 		}
 	}()
 	e.Run()

@@ -19,13 +19,14 @@ func (c *Cond) Wait(p *Proc) {
 }
 
 // Broadcast wakes every waiter (they resume at the current time, in FIFO
-// order).
+// order). The waiter slice keeps its storage, so a steady wait/wake cycle
+// allocates nothing.
 func (c *Cond) Broadcast() {
-	ws := c.waiters
-	c.waiters = nil
-	for _, p := range ws {
+	for _, p := range c.waiters {
 		c.eng.wake(p)
 	}
+	clear(c.waiters)
+	c.waiters = c.waiters[:0]
 }
 
 // Signal wakes the longest-waiting process, if any.
@@ -34,7 +35,9 @@ func (c *Cond) Signal() {
 		return
 	}
 	p := c.waiters[0]
-	c.waiters = c.waiters[1:]
+	n := copy(c.waiters, c.waiters[1:])
+	c.waiters[n] = nil
+	c.waiters = c.waiters[:n]
 	c.eng.wake(p)
 }
 
@@ -189,7 +192,8 @@ func (r *Resource) Grants() int64 { return r.grants }
 // item arrives. Push never blocks and is callable from callbacks.
 type Queue[T any] struct {
 	eng   *Engine
-	items []T
+	items []T // the queued items are items[head:]
+	head  int
 	cond  *Cond
 }
 
@@ -198,8 +202,15 @@ func NewQueue[T any](e *Engine) *Queue[T] {
 	return &Queue[T]{eng: e, cond: NewCond(e)}
 }
 
-// Push appends v and wakes one waiting consumer.
+// Push appends v and wakes one waiting consumer. Storage freed by pops
+// is reused once it is at least half the slice, so a queue that hovers
+// at a steady depth stops allocating.
 func (q *Queue[T]) Push(v T) {
+	if len(q.items) == cap(q.items) && q.head >= len(q.items)/2 {
+		n := copy(q.items, q.items[q.head:])
+		clear(q.items[n:])
+		q.items, q.head = q.items[:n], 0
+	}
 	q.items = append(q.items, v)
 	q.cond.Signal()
 }
@@ -207,18 +218,22 @@ func (q *Queue[T]) Push(v T) {
 // PushFront prepends v (used to re-queue a deferred item without losing its
 // position) and wakes one waiting consumer.
 func (q *Queue[T]) PushFront(v T) {
-	q.items = append([]T{v}, q.items...)
+	if q.head > 0 {
+		q.head--
+		q.items[q.head] = v
+	} else {
+		q.items = append([]T{v}, q.items...)
+	}
 	q.cond.Signal()
 }
 
 // Pop blocks p until an item is available and returns it.
 func (q *Queue[T]) Pop(p *Proc) T {
-	for len(q.items) == 0 {
+	for q.Len() == 0 {
 		q.cond.Wait(p)
 	}
-	v := q.items[0]
-	q.items = q.items[1:]
-	if len(q.items) > 0 {
+	v := q.popHead()
+	if q.Len() > 0 {
 		// More work: make sure another waiter (if any) gets scheduled.
 		q.cond.Signal()
 	}
@@ -227,22 +242,32 @@ func (q *Queue[T]) Pop(p *Proc) T {
 
 // TryPop removes and returns the head item without blocking.
 func (q *Queue[T]) TryPop() (T, bool) {
-	var zero T
-	if len(q.items) == 0 {
+	if q.Len() == 0 {
+		var zero T
 		return zero, false
 	}
-	v := q.items[0]
-	q.items = q.items[1:]
-	return v, true
+	return q.popHead(), true
+}
+
+// popHead removes the head item; the queue must not be empty.
+func (q *Queue[T]) popHead() T {
+	var zero T
+	v := q.items[q.head]
+	q.items[q.head] = zero
+	q.head++
+	if q.head == len(q.items) {
+		q.items, q.head = q.items[:0], 0
+	}
+	return v
 }
 
 // Len returns the number of queued items.
-func (q *Queue[T]) Len() int { return len(q.items) }
+func (q *Queue[T]) Len() int { return len(q.items) - q.head }
 
 // Drain removes and returns all queued items.
 func (q *Queue[T]) Drain() []T {
-	v := q.items
-	q.items = nil
+	v := q.items[q.head:]
+	q.items, q.head = nil, 0
 	return v
 }
 
